@@ -136,6 +136,15 @@ func runServeCheck() error {
 // Regressions never fail the run: wall-clock metrics are noisy, and the
 // trajectory file exists to be inspected, not to gate.
 func runBench(out, baselinePath string, workers int) error {
+	// Read the baseline before measuring: out may be the baseline file
+	// itself (regenerating BENCH_sim.json in place).
+	var base *experiments.BenchReport
+	if baselinePath != "" {
+		var err error
+		if base, err = experiments.ReadBenchFile(baselinePath); err != nil {
+			return err
+		}
+	}
 	fmt.Fprintf(os.Stderr, "jitbench: measuring performance point (workers=%d)...\n", workers)
 	report, err := experiments.RunBench(workers)
 	if err != nil {
@@ -153,12 +162,8 @@ func runBench(out, baselinePath string, workers int) error {
 		return err
 	}
 	fmt.Fprintf(os.Stderr, "jitbench: wrote %d metrics to %s\n", len(report.Metrics), out)
-	if baselinePath == "" {
+	if base == nil {
 		return nil
-	}
-	base, err := experiments.ReadBenchFile(baselinePath)
-	if err != nil {
-		return err
 	}
 	warnings := experiments.CompareBench(base, report, 0.10)
 	if len(warnings) == 0 {

@@ -20,6 +20,17 @@
 // Trigger may be called from any process (or from scheduler callbacks), but
 // never from outside the simulation.
 //
+// There is no scheduler goroutine. A process that blocks or exits picks its
+// successor itself, on its own goroutine: it pops the run queue or, when
+// that is empty, advances the clock to the next timer. It then hands
+// control straight to the successor with one channel send, so every
+// dispatch costs a single goroutine handoff. When the successor is the
+// process itself (a lone sleeper, or a process whose own timer is next) it
+// simply keeps running, with no channel operation at all. Run only starts
+// the first process and waits for control to come back once the run is
+// over: nothing is left, the horizon is reached, or a process panicked.
+// It then kills the processes still blocked, one at a time.
+//
 // The scheduler's hot path is allocation-free in steady state: timers live
 // in a value-typed indexed heap (eventq.go), the run queue is a ring
 // buffer, and wait tokens are recycled through a free list once every
@@ -51,12 +62,6 @@ const (
 
 // Seconds converts a floating-point second count to a virtual duration.
 func Seconds(s float64) Time { return Time(s * float64(Second)) }
-
-// Millis converts a floating-point millisecond count to a virtual duration.
-func Millis(ms float64) Time { return Time(ms * float64(Millisecond)) }
-
-// Micros converts a floating-point microsecond count to a virtual duration.
-func Micros(us float64) Time { return Time(us * float64(Microsecond)) }
 
 // Sec reports t as floating-point seconds.
 func (t Time) Sec() float64 { return float64(t) / float64(Second) }
@@ -166,6 +171,8 @@ type Env struct {
 	yieldCh chan struct{}
 	failure error
 	running bool
+	horizon Time // RunUntil's limit; < 0 means none
+	halted  bool // the current run is over: control goes back to RunUntil
 	tracer  func(t Time, format string, args ...interface{})
 	rec     interface{}
 
@@ -287,14 +294,8 @@ func (e *Env) DoneEvent() *Event {
 // scheduled.
 func (e *Env) start(p *Proc) {
 	go func() {
-		cause := <-p.resume
-		if cause == wakeKilled {
-			p.state = stateDead
-			delete(e.procs, p.id)
-			if pr, ok := e.rec.(ProcRecorder); ok {
-				pr.ProcEnd(e.now, p.id, p.name)
-			}
-			e.yieldCh <- struct{}{}
+		if <-p.resume == wakeKilled {
+			e.exit(p)
 			return
 		}
 		defer func() {
@@ -303,46 +304,30 @@ func (e *Env) start(p *Proc) {
 					e.failure = fmt.Errorf("vclock: process %q panicked: %v\n%s", p.name, r, debug.Stack())
 				}
 			}
-			p.state = stateDead
-			delete(e.procs, p.id)
-			if pr, ok := e.rec.(ProcRecorder); ok {
-				pr.ProcEnd(e.now, p.id, p.name)
-			}
-			e.yieldCh <- struct{}{}
+			e.exit(p)
 		}()
 		p.body(p)
 	}()
 }
 
-// dispatch runs p until it blocks or exits, then returns control.
-func (e *Env) dispatch(p *Proc, cause wakeCause) {
-	if p.state == stateNew {
-		p.state = stateRunnable
-		e.start(p)
+// exit retires p and passes control to the next process. It is the last
+// thing p's goroutine does.
+func (e *Env) exit(p *Proc) {
+	p.state = stateDead
+	delete(e.procs, p.id)
+	if pr, ok := e.rec.(ProcRecorder); ok {
+		pr.ProcEnd(e.now, p.id, p.name)
 	}
-	p.state = stateRunnable
-	e.stats.Dispatches++
-	p.resume <- cause
-	<-e.yieldCh
+	e.handoff(e.pick())
 }
 
-// Run executes the simulation until no process is runnable and no timers are
-// pending. Processes still blocked on untriggered events at that point (for
-// example, workers hung at a failed collective) are killed so their
-// goroutines do not leak. Run returns the first process panic, if any.
-func (e *Env) Run() error { return e.RunUntil(-1) }
-
-// RunUntil is Run with a horizon: the simulation stops once the clock would
-// advance past limit (limit < 0 means no horizon). The clock is left at the
-// last executed event time, never past the horizon.
-func (e *Env) RunUntil(limit Time) error {
-	if e.running {
-		return fmt.Errorf("vclock: Run called re-entrantly")
-	}
-	e.running = true
-	defer func() { e.running = false }()
-
-	for e.failure == nil {
+// pick chooses the next process to run: the head of the run queue or,
+// when the queue is empty, the process whose timer fires next (advancing
+// the clock to it). It counts the dispatch and returns the process with
+// its wake cause. pick returns nil, and halts the run, once a process has
+// failed, the next timer lies past the horizon, or nothing is left to run.
+func (e *Env) pick() (*Proc, wakeCause) {
+	for !e.halted && e.failure == nil {
 		if e.runq.len() > 0 {
 			p := e.runq.pop()
 			if p.state == stateDead {
@@ -362,39 +347,79 @@ func (e *Env) RunUntil(limit Time) error {
 			if p.killed {
 				cause = wakeKilled
 			}
-			e.dispatch(p, cause)
-			continue
+			e.stats.Dispatches++
+			return p, cause
 		}
 		// Nothing runnable: advance the clock to the next timer.
-		fired := false
-		for e.timers.len() > 0 {
-			next := e.timers.min()
-			if next.tok.fired {
-				// Fired tokens are removed from the heap eagerly, so this
-				// is defensive only.
-				e.releaseToken(e.timers.popMin().tok)
-				continue
-			}
-			if limit >= 0 && next.deadline > limit {
-				e.shutdown()
-				return e.failure
-			}
-			ent := e.timers.popMin()
-			e.now = ent.deadline
-			tok := ent.tok
-			tok.fired = true
-			tok.cause = wakeTimeout
-			tok.p.token = tok // the heap's reference becomes the token slot's
-			e.runq.push(tok.p)
-			e.stats.TimerFires++
-			fired = true
+		if e.timers.len() == 0 {
 			break
 		}
-		if !fired {
-			// No runnable processes and no timers: simulation is done.
-			e.shutdown()
-			return e.failure
+		next := e.timers.min()
+		if next.tok.fired {
+			// Fired tokens are removed from the heap eagerly, so this is
+			// defensive only.
+			e.releaseToken(e.timers.popMin().tok)
+			continue
 		}
+		if e.horizon >= 0 && next.deadline > e.horizon {
+			break
+		}
+		ent := e.timers.popMin()
+		e.now = ent.deadline
+		tok := ent.tok
+		tok.fired = true
+		tok.cause = wakeTimeout
+		tok.p.token = tok // the heap's reference becomes the token slot's
+		e.runq.push(tok.p)
+		e.stats.TimerFires++
+	}
+	e.halted = true
+	return nil, 0
+}
+
+// handoff passes control to p with the given wake cause, starting its
+// goroutine on first dispatch; a nil p returns control to RunUntil. The
+// caller must not touch simulation state afterwards: p is running.
+func (e *Env) handoff(p *Proc, cause wakeCause) {
+	if p == nil {
+		e.yieldCh <- struct{}{}
+		return
+	}
+	if p.state == stateNew {
+		e.start(p)
+	}
+	p.state = stateRunnable
+	p.resume <- cause
+}
+
+// dispatch runs p until control returns to the caller. Only shutdown uses
+// it; during a run, processes hand control to each other directly.
+func (e *Env) dispatch(p *Proc, cause wakeCause) {
+	e.stats.Dispatches++
+	e.handoff(p, cause)
+	<-e.yieldCh
+}
+
+// Run executes the simulation until no process is runnable and no timers are
+// pending. Processes still blocked on untriggered events at that point (for
+// example, workers hung at a failed collective) are killed so their
+// goroutines do not leak. Run returns the first process panic, if any.
+func (e *Env) Run() error { return e.RunUntil(-1) }
+
+// RunUntil is Run with a horizon: the simulation stops once the clock would
+// advance past limit (limit < 0 means no horizon). The clock is left at the
+// last executed event time, never past the horizon.
+func (e *Env) RunUntil(limit Time) error {
+	if e.running {
+		return fmt.Errorf("vclock: Run called re-entrantly")
+	}
+	e.running = true
+	defer func() { e.running = false }()
+
+	e.horizon, e.halted = limit, false
+	if p, cause := e.pick(); p != nil {
+		e.handoff(p, cause)
+		<-e.yieldCh
 	}
 	e.shutdown()
 	return e.failure
@@ -418,13 +443,20 @@ func (e *Env) shutdown() {
 	e.runq.clear()
 }
 
-// yield transfers control back to the scheduler and blocks until this
-// process is woken; it returns the wake cause. If the process was killed
+// yield blocks the process until it is woken and returns the wake cause.
+// It picks the next process itself: if that is p (its own timer is next,
+// or it yielded with nothing else runnable), it returns without a channel
+// operation; otherwise it hands control straight to the successor, or back
+// to RunUntil when the run is over, and waits. If the process was killed
 // while blocked, yield unwinds its stack.
 func (p *Proc) yield() wakeCause {
+	e := p.env
 	p.state = stateBlocked
-	p.env.yieldCh <- struct{}{}
-	cause := <-p.resume
+	next, cause := e.pick()
+	if next != p {
+		e.handoff(next, cause)
+		cause = <-p.resume
+	}
 	if cause == wakeKilled {
 		panic(killedSentinel{})
 	}
@@ -519,9 +551,6 @@ func (p *Proc) Kill() {
 		p.env.runq.push(p)
 	}
 }
-
-// Killed reports whether the process has been marked for termination.
-func (p *Proc) Killed() bool { return p.killed }
 
 func (e *Env) addTimer(deadline Time, tok *waitToken) {
 	e.seq++
